@@ -289,8 +289,10 @@ def check_quiescent(machine, max_cycles: int = 200_000) -> None:
     """Settle in-flight traffic, then assert the machine is fully clean:
     no leaked LCU entries, no live LRT locks, structurally sane queues.
     Raises :class:`InvariantViolation` — the production form of the test
-    suite's historical ``drain_and_check``."""
-    machine.drain(max_cycles)
+    suite's historical ``drain_and_check``.  The settle step ends early
+    once the machine is quiescent (:meth:`repro.cpu.machine.Machine.
+    settle`); ``max_cycles`` stays its upper bound."""
+    machine.settle(max_cycles)
     machine.check_lock_invariants()
     problems = audit_lcu_queues(machine, strict=True)
     if problems:

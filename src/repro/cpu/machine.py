@@ -29,6 +29,9 @@ _LCU_MESSAGE_TYPES = (
     lcu_msgs.QueueReset, lcu_msgs.QueueProbe, lcu_msgs.FencedOperation,
 )
 
+#: :meth:`Machine.settle` tests for quiescence every this many cycles
+_SETTLE_CHUNK = 1_000
+
 
 class Machine:
     """One simulated multiprocessor instance.
@@ -80,6 +83,9 @@ class Machine:
             )
 
         self.ssb = SSB(self.sim, config, self.net)
+        #: the armed :class:`repro.faults.injector.FaultInjector`, if
+        #: any — it sets this itself; :meth:`quiescent` asks it
+        self.injector = None
 
     # ------------------------------------------------------------------ #
 
@@ -107,8 +113,53 @@ class Machine:
 
     def drain(self, max_cycles: int = 200_000) -> None:
         """Let in-flight protocol traffic settle (bounded, so stale OS
-        slice timers parked far in the future do not advance the clock)."""
+        slice timers parked far in the future do not advance the clock).
+        Always runs the full ``max_cycles``: callers such as
+        ``run_microbench`` read busy-cycles-over-``sim.now`` ratios
+        afterwards.  The checker uses :meth:`settle` instead."""
         self.sim.run(until=self.sim.now + max_cycles)
+
+    def quiescent(self) -> bool:
+        """Nothing left to happen that could change lock state, fault
+        statistics or a checker verdict (DESIGN.md, "The drain
+        contract"): no message in flight (heartbeats included), no
+        frame pending or held back, no LCU or LRT state or queued work,
+        idle directories, and an injector with nothing left to do.
+
+        Valid only between complete :meth:`Simulator.run` calls (every
+        event up to ``sim.now`` dispatched) and once the workload has
+        ended: work a live thread waits on — fills, SSB replies, its own
+        continuations — is not tracked here."""
+        if self.net.in_flight:
+            return False
+        reliable = self.net.reliable
+        if reliable is not None and not reliable.idle():
+            return False
+        if self.injector is not None and not self.injector.idle():
+            return False
+        return (
+            all(lcu.idle() for lcu in self.lcus)
+            and all(lrt.idle() for lrt in self.lrts)
+            and self.mem.idle()
+        )
+
+    def settle(self, max_cycles: int = 200_000) -> bool:
+        """:meth:`drain`, but stop at the first quiescent chunk boundary
+        (the current cycle, then every ``_SETTLE_CHUNK`` cycles); returns
+        True if it stopped there.  Running in chunks dispatches the same
+        events in the same order as one long run, so everything up to the
+        stop is identical to :meth:`drain`; what it skips is inert
+        (DESIGN.md)."""
+        sim = self.sim
+        deadline = sim.now + max_cycles
+        until = sim.now
+        while True:
+            sim.run(until=until)
+            if self.quiescent():
+                return True
+            if until >= deadline:
+                return False
+            until = min(until + _SETTLE_CHUNK, deadline)
 
     def harden(
         self, watchdog_interval: int = 20_000,

@@ -103,6 +103,14 @@ class FaultInjector:
         ]
         #: core -> blackhole end cycle for an in-progress zombie window
         self._zombie_until: Dict[int, int] = {}
+        #: the wire filter may draw from ``_rng`` until this cycle: the
+        #: last message-fault or partition window closes here
+        self._windows_end = max(
+            (e.end for e in self._msg_events + self._partition_events),
+            default=0,
+        )
+        #: callbacks scheduled by :meth:`_at` that have not run yet
+        self._scheduled = 0
         # a zombie can land on any core (victim polling decides), so
         # its plan must cover every protocol link with the reliable
         # layer up front — coverage is fixed at arm time
@@ -130,6 +138,7 @@ class FaultInjector:
         assert not self._armed, "injector armed twice"
         self._armed = True
         self.machine.harden(fencing=self.fencing)
+        self.machine.injector = self
         sim = self.machine.sim
         if self.plan.needs_reliable():
             self.reliable = ReliableLayer(sim, self._link_covered)
@@ -143,8 +152,8 @@ class FaultInjector:
             if event.kind in MESSAGE_CLASSES or \
                     event.kind == "partition_links":
                 continue  # window-matched inside the filter
-            sim.at(max(event.at, sim.now + 1),
-                   lambda e=event: self._fire(e))
+            self._at(max(event.at, sim.now + 1),
+                     lambda e=event: self._fire(e))
 
     def _link_covered(self, src: Endpoint, dst: Endpoint) -> bool:
         if self._covers_all:
@@ -243,6 +252,21 @@ class FaultInjector:
     # ------------------------------------------------------------------ #
     # point / window events
 
+    def _at(self, time: int, fn) -> None:
+        """Schedule one injector callback, counted in :meth:`idle` until
+        it runs.  Every plan event, poll, heal, restart and capacity lift
+        goes through here."""
+        self._scheduled += 1
+
+        def run() -> None:
+            self._scheduled -= 1
+            fn()
+
+        self.machine.sim.at(time, run)
+
+    def _after(self, delay: int, fn) -> None:
+        self._at(self.machine.sim.now + delay, fn)
+
     def _fire(self, event: FaultEvent) -> None:
         kind = event.kind
         if kind == "evict":
@@ -263,7 +287,7 @@ class FaultInjector:
             for lcu in self.machine.lcus:
                 lcu.set_forced_capacity(event.limit)
             self._count("capacity")
-            self.machine.sim.at(
+            self._at(
                 max(event.end, self.machine.sim.now + 1),
                 self._lift_capacity,
             )
@@ -282,7 +306,7 @@ class FaultInjector:
             self.os.set_core_slowdown(core, event.factor)
             self._count("slow_core")
             if event.duration:
-                self.machine.sim.at(
+                self._at(
                     max(event.end, self.machine.sim.now + 1),
                     lambda: self.os.set_core_slowdown(core, 1.0),
                 )
@@ -307,7 +331,7 @@ class FaultInjector:
                 break
         if victim is None:
             if attempts < _ZOMBIE_POLL_MAX:
-                self.machine.sim.after(
+                self._after(
                     _CRASH_POLL_INTERVAL,
                     lambda: self._try_zombie(event, attempts + 1),
                 )
@@ -329,7 +353,7 @@ class FaultInjector:
         self.os.stall_core(core, max(1, duration))
         self._zombie_until[core] = end
         self._count("zombie_core")
-        self.machine.sim.at(end, lambda: self._end_zombie(core, end))
+        self._at(end, lambda: self._end_zombie(core, end))
 
     def _end_zombie(self, core: int, end: int) -> None:
         if self._zombie_until.get(core) == end:
@@ -352,7 +376,7 @@ class FaultInjector:
                     self.stats.get("crashes_skipped", 0) + 1
                 )
                 return
-            self.machine.sim.after(
+            self._after(
                 _CRASH_POLL_INTERVAL,
                 lambda: self._try_crash(event, attempts + 1),
             )
@@ -373,7 +397,7 @@ class FaultInjector:
             self.reliable.bump_era(("core", core))
         self._count(event.kind)
         if event.kind == "restart_core":
-            self.machine.sim.after(
+            self._after(
                 max(1, event.duration), lambda: self._execute_restart(core)
             )
 
@@ -393,11 +417,26 @@ class FaultInjector:
     # ------------------------------------------------------------------ #
     # post-run
 
+    def idle(self) -> bool:
+        """Nothing the injector does can still happen: no callback of
+        its own is queued, no zombie is frozen, and every message-fault
+        and partition window has closed, so the wire filter neither
+        draws from its RNG nor counts again.  One input of
+        :meth:`repro.cpu.machine.Machine.quiescent`."""
+        return (
+            not self._scheduled
+            and not self._zombie_until
+            and self.machine.sim.now >= self._windows_end
+        )
+
     def drain(self, step: int = 50_000, max_steps: int = 20) -> bool:
         """Let retransmissions and reclaim traffic settle after the
-        workload; returns True when no frame is left pending."""
+        workload; returns True when no frame is left pending.  Each
+        ``step`` ends early once the machine is quiescent (see
+        :meth:`repro.cpu.machine.Machine.settle`)."""
         for _ in range(max_steps):
-            self.machine.drain(step)
+            if self.machine.settle(step):
+                return True
             if self.reliable is None or self.reliable.pending_frames() == 0:
                 return True
         return self.reliable is None or self.reliable.pending_frames() == 0

@@ -112,6 +112,8 @@ class LockControlUnit:
         #: addr -> last fence era seen on a grant (diagnostic half of
         #: the token; enforcement is on the generation floor)
         self._era_seen: Dict[int, int] = {}
+        #: crash-cleanup retries (:meth:`_retry_purge`) still queued
+        self._purges_pending = 0
 
         self.stats: Dict[str, int] = {
             "acquires": 0, "releases": 0, "transfers": 0, "timeouts": 0,
@@ -198,6 +200,16 @@ class LockControlUnit:
     @property
     def entries_in_use(self) -> int:
         return len(self._entries)
+
+    def idle(self) -> bool:
+        """No lock state of any kind is recorded here (the same four
+        stores :meth:`homed_tids` reads) and no crash-cleanup retry is
+        queued.  Grant timers may still be queued: each one re-checks
+        its entry and returns once the entry is gone."""
+        return not (
+            self._entries or self._held_gen or self._overflow_grants
+            or self._flt or self._purges_pending
+        )
 
     # ------------------------------------------------------------------ #
     # entry pool
@@ -428,7 +440,13 @@ class LockControlUnit:
         self.stats["crash_purge_retries"] = (
             self.stats.get("crash_purge_retries", 0) + 1
         )
-        self._sim.after(500, lambda: self.purge_dead_tids(dead))
+        self._purges_pending += 1
+
+        def retry() -> None:
+            self._purges_pending -= 1
+            self.purge_dead_tids(dead)
+
+        self._sim.after(500, retry)
 
     # ------------------------------------------------------------------ #
     # ISA primitives (invoked by the core; cost = config.lcu_latency,

@@ -165,6 +165,7 @@ class LockReservationTable:
         self._live = 0                             # entries in table + overflow
         self._server = Server(sim, f"lrt{lrt_id}")
         self._remote_retry: Dict[Tuple[int, int, int], int] = {}
+        self._sends_pending = 0
 
         self.stats: Dict[str, int] = {
             "requests": 0, "grants": 0, "forwards": 0, "retries": 0,
@@ -340,6 +341,29 @@ class LockReservationTable:
 
     def _send_lcu(self, lcu_id: int, m: object) -> None:
         self._net.send(self._endpoint, ("core", lcu_id), m)
+
+    def _send_later(self, delay: int, lcu_id: int, m: object) -> None:
+        """A backed-off resend (nack recovery), counted in
+        :meth:`idle` until it leaves."""
+        self._sends_pending += 1
+
+        def send() -> None:
+            self._sends_pending -= 1
+            self._send_lcu(lcu_id, m)
+
+        self._sim.after(delay, send)
+
+    def idle(self) -> bool:
+        """No lock entry (table or overflow), no message in the
+        pipeline and no backed-off resend queued.  What may still be
+        queued is inert: watchdog ticks walk the empty table, and every
+        probe, reset, priority and reservation timer looks its entry up
+        and returns when it is gone."""
+        return (
+            not self._live
+            and not self._sends_pending
+            and self._server.queue_delay() == 0
+        )
 
     def on_message(self, _src: Endpoint, m: object) -> None:
         """Network delivery: serialize through the LRT pipeline.
@@ -1174,9 +1198,7 @@ class LockReservationTable:
                 # forwarded requestor) to re-enter the new era cleanly.
                 self._reclaim(self._install(m.addr), "phantom_tail")
                 return
-        self._sim.after(
-            _FWD_RETRY_BACKOFF, lambda: self._send_lcu(fwd.tail_lcu, fwd)
-        )
+        self._send_later(_FWD_RETRY_BACKOFF, fwd.tail_lcu, fwd)
 
     def _on_remote_nack(self, m: msg.RemoteReleaseNack) -> None:
         e = self.entry(m.addr)
@@ -1209,10 +1231,7 @@ class LockReservationTable:
             walk = msg.RemoteRelease(
                 m.addr, m.target_tid, m.write, m.origin_lcu, head.tid
             )
-            self._sim.after(
-                _REMOTE_RETRY_BACKOFF,
-                lambda: self._send_lcu(head.lcu, walk),
-            )
+            self._send_later(_REMOTE_RETRY_BACKOFF, head.lcu, walk)
             return
         self._remote_retry.pop(key, None)
         if not m.write and e.reader_cnt > 0:

@@ -115,6 +115,13 @@ class MemorySystem:
         """Directory-slice servers, for the telemetry layer."""
         return list(self._dir_servers)
 
+    def idle(self) -> bool:
+        """No directory slice has work queued.  The LRT's overflow
+        spills and refills (:meth:`memory_touch`) are the only directory
+        work no thread waits on; every other access ends in a fill some
+        live thread is blocked on."""
+        return all(d.queue_delay() == 0 for d in self._dir_servers)
+
     # ------------------------------------------------------------------ #
     # address helpers
 

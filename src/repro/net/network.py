@@ -20,11 +20,12 @@ occupies — and the service cycles each charges — never changes, so it is
 resolved once into a cached *route* (a tuple of ``(server, service)``
 hops plus the propagation delay); the transit frame then walks the route
 by re-scheduling itself at each hop completion.  Drained frames are
-recycled through a free list.  This replaces the closure-per-hop
-dispatch the hub previously allocated per message (~5 closures/message)
-with zero per-message allocations in the steady state, while keeping the
-event schedule bit-identical: same ``Server.request`` calls at the same
-cycles in the same order.
+recycled through an uncapped free list, so it tops out at the peak
+number of messages on the fabric at once.  This replaces the
+closure-per-hop dispatch the hub previously allocated per message (~5
+closures/message) with zero per-message allocations in the steady
+state, while keeping the event schedule bit-identical: same
+``Server.request`` calls at the same cycles in the same order.
 
 Messages between a fixed (src, dst) pair are delivered FIFO — this is the
 network ordering assumption the LCU/LRT state machines rely on (the paper
@@ -144,6 +145,11 @@ class Network:
 
         self.messages_sent = 0
         self.inter_chip_messages = 0
+        #: messages injected and not yet delivered, counting every
+        #: fault-made copy (delayed ones included) and every frame held
+        #: in the per-pair FIFO stash.  Read by
+        #: :meth:`repro.cpu.machine.Machine.quiescent`.
+        self.in_flight = 0
         #: same-cycle arrival inversions healed by the per-pair FIFO stage
         #: (only ever non-zero under a perturbed ``tiebreak_seed``)
         self.reorders_healed = 0
@@ -250,9 +256,9 @@ class Network:
             )
 
         if self.fault_filter is not None and src != dst:
-            for extra_delay, copy in list(
-                self.fault_filter(src, dst, payload)
-            ):
+            copies = list(self.fault_filter(src, dst, payload))
+            self.in_flight += len(copies)
+            for extra_delay, copy in copies:
                 if extra_delay > 0:
                     self._sim.after(
                         extra_delay,
@@ -261,6 +267,7 @@ class Network:
                 else:
                     self._transmit(src, dst, copy, on_deliver)
             return
+        self.in_flight += 1
         self._transmit(src, dst, payload, on_deliver)
 
     def _transmit(
@@ -379,8 +386,8 @@ class Network:
         tr.src = tr.dst = tr.payload = None
         tr.on_deliver = None
         tr.hops = ()
-        if len(self._transit_pool) < 64:
-            self._transit_pool.append(tr)
+        self._transit_pool.append(tr)
+        self.in_flight -= 1
         if self._reliable is not None and self._reliable.intercepts(payload):
             self._reliable.on_wire(src, dst, payload)
             return

@@ -177,6 +177,12 @@ class ReliableLayer:
         """Logical sends not yet acked (0 == channel fully drained)."""
         return sum(len(p) for p in self._pending.values())
 
+    def idle(self) -> bool:
+        """No frame awaits an ack and none is held back for a gap.  The
+        retransmit timers still queued then find nothing to resend."""
+        return self.pending_frames() == 0 and \
+            not any(self._holdback.values())
+
     def stats(self) -> Dict[str, int]:
         return {
             "frames_sent": self.frames_sent,

@@ -25,8 +25,8 @@ suite.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
-import multiprocessing
 import random
 from typing import Any, Dict, List, Optional
 
@@ -546,14 +546,16 @@ def _shard_dict(algo: str, model: str, outcomes) -> Dict[str, Any]:
     }
 
 
-def _fuzz_shard(spec) -> Dict[str, Any]:
-    """Worker-process entry point for :func:`fuzz_matrix`.  Returns a
-    plain dict: ``CheckOutcome``/``InvariantViolation`` carry custom
-    constructors that do not survive pool pickling, and the parent can
+def _fuzz_shard(spec, span_tracer=None) -> Dict[str, Any]:
+    """Per-shard entry point for :func:`fuzz_matrix`, in a worker
+    process or in-process.  Returns a plain dict:
+    ``CheckOutcome``/``InvariantViolation`` carry custom constructors
+    that do not survive pool pickling, and the parent can
     deterministically re-run any failing case anyway."""
     algo, model, runs, seed = spec
-    return _shard_dict(algo, model, fuzz(algo, model=model, runs=runs,
-                                         seed=seed))
+    outcomes = fuzz(algo, model=model, runs=runs, seed=seed,
+                    span_tracer=span_tracer)
+    return _shard_dict(algo, model, outcomes)
 
 
 def fuzz_matrix(
@@ -573,18 +575,17 @@ def fuzz_matrix(
     ``run_case(FuzzCase.from_dict(d))`` (bit-identical) to recover the
     full outcome and violation in-process.  ``span_tracer`` only
     applies to the serial path (spans cannot cross process boundaries)."""
+    # imported here: keeps the bench harness off this module's import
+    from repro.harness.parallel import ordered_map
+
     specs = [(a, m, runs, seed) for m in models for a in algos]
-    if workers >= 2 and len(specs) > 1:
-        ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(processes=min(workers, len(specs))) as pool:
-            shards = pool.map(_fuzz_shard, specs)  # order-preserving
-    else:
-        shards = [
-            _shard_dict(a, m, fuzz(a, model=m, runs=r, seed=s,
-                                   span_tracer=span_tracer))
-            for a, m, r, s in specs
-        ]
-    for shard in shards:
+    fn = _fuzz_shard
+    serial = workers < 2 or len(specs) < 2     # ordered_map's serial rule
+    if span_tracer is not None and serial:
+        fn = functools.partial(_fuzz_shard, span_tracer=span_tracer)
+    shards = []
+    for shard in ordered_map(fn, specs, workers):
+        shards.append(shard)
         if progress is not None:
             progress(shard)
     return shards

@@ -17,7 +17,6 @@ style tooling or shrunk by the fuzzer.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import zlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -241,28 +240,17 @@ def run_matrix(
     ``workers >= 2`` fans cells out over a spawn-context process pool
     (spawn, not fork: each worker imports a clean interpreter, so no
     inherited module state can perturb a cell).  ``workers <= 1`` runs
-    serially in-process.  With a pool, ``progress`` fires at merge time
-    (spec order), not at cell completion."""
+    serially in-process.  Either way ``progress`` fires once per cell in
+    spec order, as soon as that cell's result is in."""
+    # imported here: keeps the bench harness off this module's import
+    from repro.harness.parallel import ordered_map
+
     specs = _cell_specs(algos, models, classes, seed, threads, iters,
                         horizon, fencing)
     cells: List[NemesisCell] = []
-    if workers >= 2 and len(specs) > 1:
-        ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(processes=min(workers, len(specs))) as pool:
-            shards = pool.map(_cell_shard, specs)  # order-preserving
-        for shard in shards:
-            cell = NemesisCell(**shard)
-            cells.append(cell)
-            if progress is not None:
-                progress(cell)
-    else:
-        for spec in specs:
-            cell = run_cell(
-                spec[0], spec[1], spec[2], spec[3],
-                threads=spec[4], iters=spec[5], horizon=spec[6],
-                fencing=spec[7],
-            )
-            cells.append(cell)
-            if progress is not None:
-                progress(cell)
+    for shard in ordered_map(_cell_shard, specs, workers):
+        cell = NemesisCell(**shard)
+        cells.append(cell)
+        if progress is not None:
+            progress(cell)
     return NemesisResult(seed=seed, cells=cells)

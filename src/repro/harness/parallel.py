@@ -18,8 +18,7 @@ that hold:
 * every shard is fully self-contained (fresh ``Machine``, fresh
   ``MetricsRegistry``, seed passed explicitly) and returns plain data;
 * shard payloads are merged in *spec order*, never completion order
-  (``Pool.map`` preserves input order; the serial path iterates the
-  same list);
+  (:func:`ordered_map` yields in input order on both paths);
 * the artifact carries nothing volatile — no wall-clock timestamps, no
   worker count, no host identifiers.  Worker count changes wall time,
   never bytes.
@@ -35,7 +34,9 @@ import dataclasses
 import functools
 import multiprocessing
 import os
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.harness.bench import BenchCellSpec, _config
 from repro.harness.microbench import run_microbench
@@ -60,7 +61,7 @@ def _run_shard(shard: Tuple[BenchCellSpec, int],
                fairness: bool = False) -> Dict[str, Any]:
     """Run one (cell, seed) shard in full isolation and return plain
     data: the microbench result fields plus an exact-state registry
-    dump.  Module-level (and argument-picklable) so ``Pool.map`` can
+    dump.  Module-level (and argument-picklable) so the pool can
     ship it to spawn-started workers.  With ``fairness`` each shard
     attaches a fresh :class:`~repro.obs.fairness.FairnessObservatory`
     and publishes its ledger into the registry — counters add, wait
@@ -144,17 +145,34 @@ def run_sweep(
     if not shards:
         raise ValueError("sweep needs at least one (cell, seed) shard")
     run_one = functools.partial(_run_shard, fairness=fairness)
-    if workers >= 2:
-        ctx = multiprocessing.get_context("spawn")
-        nproc = min(workers, len(shards))
-        with ctx.Pool(processes=nproc) as pool:
-            payloads = pool.map(run_one, shards)
-    else:
-        payloads = [run_one(s) for s in shards]
-    if progress is not None:
-        for p in payloads:
+    payloads = []
+    for p in ordered_map(run_one, shards, workers):
+        payloads.append(p)
+        if progress is not None:
             progress(p)
     return merge_shards(payloads)
+
+
+def ordered_map(
+    fn: Callable[[Any], Any], items: Sequence[Any], workers: int
+) -> Iterator[Any]:
+    """Yield ``fn(item)`` for every item, in item order.
+
+    ``workers >= 2`` with more than one item fans the calls out over a
+    spawn-context pool (``fn`` and the items must pickle); results still
+    come back in item order as they complete.  Otherwise the calls run
+    serially in-process, each result yielded as soon as it is computed.
+    The shared fan-out of :func:`run_sweep`,
+    :func:`repro.faults.nemesis.run_matrix` and
+    :func:`repro.check.fuzz.fuzz_matrix`.
+    """
+    if workers >= 2 and len(items) > 1:
+        ctx = multiprocessing.get_context("spawn")
+        with ctx.Pool(processes=min(workers, len(items))) as pool:
+            yield from pool.imap(fn, items)
+    else:
+        for item in items:
+            yield fn(item)
 
 
 def default_workers() -> int:

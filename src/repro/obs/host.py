@@ -9,13 +9,13 @@ own hot path.
 Three pieces:
 
 * :class:`HostProfiler` — the attribution sink for the engine's
-  instrumented dispatch loop (:meth:`repro.sim.engine.Simulator.
+  general dispatch loop (:meth:`repro.sim.engine.Simulator.
   attach_host_profiler`).  Every host nanosecond spent inside
   ``Simulator.run`` is charged to exactly one bucket: the event
   handler's *subsystem* (classified once per code object from the
   handler's defining module — ``repro.net`` -> ``net``, ``repro.lcu``
   -> ``lcu``, ...), ``obs`` for invariant probes and sampling ticks, or
-  ``engine`` for the loop itself (heap ops, bound checks).  Because the
+  ``engine`` for the loop itself (queue ops, bound checks).  Because the
   charge intervals tile the loop's wall time, per-subsystem totals sum
   to ``total_ns`` *by construction*.  Per-handler totals feed a folded-
   stack export for host flamegraphs and the ``host`` section of
@@ -86,7 +86,7 @@ def classify_module(module: Optional[str]) -> str:
 class HostProfiler:
     """Charges host nanoseconds to subsystems and per-event handlers.
 
-    The engine's instrumented loop calls :meth:`charge` (loop/probe
+    The engine's general loop calls :meth:`charge` (loop/probe
     intervals) and :meth:`charge_event` (handler intervals); both are a
     couple of dict operations, which is the entire per-event overhead of
     ``--host-prof``.  Handler classification is cached per code object,
@@ -143,7 +143,7 @@ class HostProfiler:
                 acc[key] = acc.get(key, 0) + value
 
     # ------------------------------------------------------------------ #
-    # charging (called from the engine's instrumented loop)
+    # charging (called from the engine's general dispatch loop)
 
     def charge(self, subsystem: str, ns: int) -> None:
         """Charge ``ns`` host nanoseconds to ``subsystem``."""

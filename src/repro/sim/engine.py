@@ -11,21 +11,16 @@ The building blocks are:
     The event queue and clock.
 
 ``CalendarQueue``
-    The default event store: a calendar/bucketed queue keyed by exact
-    cycle.  Events for one cycle live in one FIFO bucket list; a small
-    integer min-heap of *distinct armed cycles* finds the next non-empty
-    bucket, so advancing the clock across a run of empty cycles is one
-    heap pop instead of per-cycle work.  Drained bucket lists are
-    recycled through a preallocated free pool.  See DESIGN.md "Event
-    queue internals" for the bucket math and lifecycle.
-
-``ReferenceScheduler``
-    The pre-calendar event store: a single heapq of ``(time, key, seq,
-    fn)`` tuples.  It is kept for two jobs — it is the oracle the
-    differential tests (tests/test_engine_equiv.py) compare the calendar
-    queue against, and it is the only store that supports *perturbed*
-    same-cycle ordering (``tiebreak_seed``), which the schedule fuzzer
-    needs.
+    The event store: a calendar/bucketed queue keyed by exact cycle.
+    Events for one cycle live in one bucket list; a small integer
+    min-heap of *distinct armed cycles* finds the next non-empty bucket,
+    so advancing the clock across a run of empty cycles is one heap pop
+    instead of per-cycle work.  Drained bucket lists are recycled
+    through a preallocated free pool.  A bucket is a FIFO list by
+    default; under a perturbed same-cycle order (``tiebreak_seed``, which
+    the schedule fuzzer needs) it is a heap of ``(key, seq, fn)``
+    entries.  See DESIGN.md "Event queue internals" for the bucket math
+    and lifecycle.
 
 ``Signal``
     A broadcast condition: processes block on it and are resumed when it
@@ -40,8 +35,8 @@ The building blocks are:
 
 from __future__ import annotations
 
-import heapq
 import random
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
@@ -52,149 +47,107 @@ class SimulationError(RuntimeError):
 class CalendarQueue:
     """Cycle-keyed bucket store with a free pool of drained buckets.
 
+    The bucket format is fixed per queue.  FIFO (the default): a bucket
+    is a list of callables in schedule order.  Perturbed
+    (``perturbed=True``): a bucket is a heap of ``(key, seq, fn)``
+    entries, where ``key`` is the caller's random draw and ``seq`` this
+    queue's push count, so same-cycle events pop in ``(key, seq)`` order
+    — including events pushed into the cycle being dispatched.
+
     Invariants (pinned by tests/test_engine_equiv.py property tests):
 
     * ``buckets[t]`` exists iff cycle ``t`` appears exactly once in the
       ``times`` heap; ``size`` equals the total number of queued events.
-    * Events within one bucket fire in append (schedule) order — the
-      same total order the reference scheduler's monotonic sequence
-      number produces when no tiebreak perturbation is active.
+    * FIFO buckets fire in append (schedule) order; perturbed buckets in
+      ``(key, seq)`` order.
     * A fully drained bucket list is cleared and parked on ``pool``
       (capped at ``pool_cap``) for reuse by the next new cycle, so the
       steady state allocates no per-cycle list objects.
 
-    The :class:`Simulator` hot loop operates on these fields directly
-    (method-call overhead per event is what this class exists to avoid);
-    the methods below express the same invariants one step at a time for
-    tests and cold paths.
+    The :class:`Simulator` FIFO hot loop operates on these fields
+    directly (method-call overhead per event is what this class exists
+    to avoid); the methods below express the same invariants one step
+    at a time for the general loop, tests and cold paths.
     """
 
-    __slots__ = ("buckets", "times", "pool", "size", "pool_cap")
+    __slots__ = ("buckets", "times", "pool", "size", "pool_cap",
+                 "perturbed", "seq")
 
-    def __init__(self, pool_cap: int = 512) -> None:
-        self.buckets: Dict[int, List[Callable[[], None]]] = {}
+    def __init__(self, pool_cap: int = 512, perturbed: bool = False) -> None:
+        self.buckets: Dict[int, List] = {}
         self.times: List[int] = []          # min-heap of distinct cycles
-        self.pool: List[List[Callable[[], None]]] = []
+        self.pool: List[List] = []
         self.size = 0
         self.pool_cap = pool_cap
+        self.perturbed = perturbed
+        self.seq = 0
 
-    def push(self, time: int, fn: Callable[[], None]) -> None:
-        bucket = self.buckets.get(time)
+    def push(self, time: int, fn: Callable[[], None], key: int = 0) -> None:
+        """Queue ``fn`` at cycle ``time``.  ``key`` orders it within the
+        cycle in perturbed mode and is ignored in FIFO mode."""
+        buckets = self.buckets
+        bucket = buckets.get(time)
         if bucket is None:
             pool = self.pool
-            if pool:
-                bucket = pool.pop()
-                bucket.append(fn)
-            else:
-                bucket = [fn]
-            self.buckets[time] = bucket
-            heapq.heappush(self.times, time)
+            bucket = buckets[time] = pool.pop() if pool else []
+            heappush(self.times, time)
+        if self.perturbed:
+            heappush(bucket, (key, self.seq, fn))
+            self.seq += 1
         else:
             bucket.append(fn)
         self.size += 1
 
-    def peek_time(self) -> Optional[int]:
-        return self.times[0] if self.times else None
-
     def pop(self) -> Tuple[int, Callable[[], None]]:
-        """Remove and return the next ``(time, fn)`` in dispatch order."""
-        if not self.times:
+        """Remove and return the next ``(time, fn)`` in dispatch order; a
+        bucket it drains is unlinked and its list recycled."""
+        times = self.times
+        if not times:
             raise IndexError("pop from an empty CalendarQueue")
-        t = self.times[0]
-        bucket = self.buckets[t]
-        fn = bucket.pop(0)
+        t = times[0]
+        buckets = self.buckets
+        bucket = buckets[t]
+        fn = heappop(bucket)[2] if self.perturbed else bucket.pop(0)
         self.size -= 1
         if not bucket:
-            self.retire_bucket(t, bucket)
+            heappop(times)
+            del buckets[t]
+            pool = self.pool
+            if len(pool) < self.pool_cap:
+                pool.append(bucket)
         return t, fn
-
-    def retire_bucket(self, time: int, bucket: List) -> None:
-        """Unlink a fully drained bucket and recycle its list."""
-        heapq.heappop(self.times)
-        del self.buckets[time]
-        if len(self.pool) < self.pool_cap:
-            bucket.clear()
-            self.pool.append(bucket)
 
     def __len__(self) -> int:
         return self.size
 
 
-class ReferenceScheduler:
-    """The original single-heapq event store (the differential oracle).
-
-    Each push allocates one ``(time, key, seq, fn)`` tuple; ``key`` is
-    the sequence number itself (stable FIFO) or, with a tiebreak RNG, a
-    deterministic random 30-bit draw that perturbs same-cycle order
-    (schedule order still breaks key collisions).
-    """
-
-    __slots__ = ("heap", "seq", "tiebreak")
-
-    def __init__(self, tiebreak: Optional[random.Random] = None) -> None:
-        self.heap: List[Tuple[int, int, int, Callable[[], None]]] = []
-        self.seq = 0
-        self.tiebreak = tiebreak
-
-    def push(self, time: int, fn: Callable[[], None]) -> None:
-        key = self.seq if self.tiebreak is None else self.tiebreak.getrandbits(30)
-        heapq.heappush(self.heap, (time, key, self.seq, fn))
-        self.seq += 1
-
-    def peek_time(self) -> Optional[int]:
-        return self.heap[0][0] if self.heap else None
-
-    def pop(self) -> Tuple[int, Callable[[], None]]:
-        time, _key, _seq, fn = heapq.heappop(self.heap)
-        return time, fn
-
-    def __len__(self) -> int:
-        return len(self.heap)
-
-
 class Simulator:
     """Deterministic discrete-event simulator with an integer cycle clock.
 
-    Events default to the :class:`CalendarQueue` store.  ``tiebreak_seed``
+    Events live in one :class:`CalendarQueue`.  ``tiebreak_seed``
     perturbs the order in which *same-cycle* events fire: instead of pure
-    schedule order, each event draws a deterministic random key from the
-    seed and same-cycle events fire in key order.  Every seed is one
+    schedule order, each event draws a deterministic random 30-bit key
+    from the seed when it is scheduled, and same-cycle events fire in
+    key order (schedule order breaks key collisions).  Every seed is one
     reproducible interleaving — the schedule fuzzer (:mod:`repro.check.
     fuzz`) sweeps seeds to explore interleavings the default order never
-    produces.  A tiebreak forces the :class:`ReferenceScheduler` store
-    (the calendar queue is FIFO by construction and cannot express a
-    perturbed order); ``scheduler="reference"`` selects it explicitly,
-    which the differential tests use to compare both stores over the
-    same workload.
+    produces.
 
-    ``event_hook`` (when set to ``fn(time, event)``) observes every event
-    just before it is dispatched — the differential tests' event-order
-    capture point.  It costs one local None-check per event when unset.
+    :meth:`run` has two dispatch loops: a FIFO fast loop that walks
+    bucket lists in place, and a general loop that pops one event at a
+    time through :meth:`CalendarQueue.pop` — taken for perturbed runs
+    and when a host profiler is attached.
     """
 
-    def __init__(
-        self,
-        tiebreak_seed: Optional[int] = None,
-        scheduler: Optional[str] = None,
-    ) -> None:
-        if scheduler not in (None, "calendar", "reference"):
-            raise ValueError(f"unknown scheduler {scheduler!r}")
+    def __init__(self, tiebreak_seed: Optional[int] = None) -> None:
         self.now: int = 0
         self._seq: int = 0
         self._events_processed: int = 0
         self._tiebreak: Optional[random.Random] = (
             random.Random(tiebreak_seed) if tiebreak_seed is not None else None
         )
-        if self._tiebreak is not None or scheduler == "reference":
-            self._ref: Optional[ReferenceScheduler] = ReferenceScheduler(
-                self._tiebreak
-            )
-            self._cal: Optional[CalendarQueue] = None
-        else:
-            self._ref = None
-            self._cal = CalendarQueue()
+        self._cal = CalendarQueue(perturbed=self._tiebreak is not None)
         self._probes: List[Callable[[], None]] = []
-        self.event_hook: Optional[Callable[[int, Callable], None]] = None
         self._stop = False
         self._running = False
         # event-queue telemetry: plain integer bumps in at()/run() (a few
@@ -227,31 +180,29 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at {time} (now={self.now})"
             )
-        ref = self._ref
-        if ref is not None:
-            ref.push(time, fn)
-            self._seq += 1
-            depth = len(ref.heap)
-            if depth > self.queue_depth_peak:
-                self.queue_depth_peak = depth
-            return
-        # inlined CalendarQueue.push (this is the hottest allocation site
-        # in the repo; a method call per event costs ~15% of the loop)
         cal = self._cal
-        bucket = cal.buckets.get(time)
-        if bucket is None:
-            pool = cal.pool
-            if pool:
-                bucket = pool.pop()
-                bucket.append(fn)
-            else:
-                bucket = [fn]
-            cal.buckets[time] = bucket
-            heapq.heappush(cal.times, time)
+        tiebreak = self._tiebreak
+        if tiebreak is not None:
+            cal.push(time, fn, tiebreak.getrandbits(30))
+            depth = cal.size
         else:
-            bucket.append(fn)
+            # inlined FIFO CalendarQueue.push (this is the hottest
+            # allocation site in the repo; a method call per event costs
+            # ~15% of the loop)
+            bucket = cal.buckets.get(time)
+            if bucket is None:
+                pool = cal.pool
+                if pool:
+                    bucket = pool.pop()
+                    bucket.append(fn)
+                else:
+                    bucket = [fn]
+                cal.buckets[time] = bucket
+                heappush(cal.times, time)
+            else:
+                bucket.append(fn)
+            cal.size = depth = cal.size + 1
         self._seq += 1
-        cal.size = depth = cal.size + 1
         if depth > self.queue_depth_peak:
             self.queue_depth_peak = depth
 
@@ -288,20 +239,16 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() re-entered from an event handler")
-        if self._host is not None:
-            return self._run_profiled(until, max_events, stop_when)
-        if self._ref is not None:
-            return self._run_reference(until, max_events, stop_when)
         if max_events is not None and max_events <= 0:
             return 0
+        if self._host is not None or self._tiebreak is not None:
+            return self._run_general(until, max_events, stop_when)
 
         cal = self._cal
         buckets = cal.buckets
         times = cal.times
         pool = cal.pool
         probes = self._probes
-        hook = self.event_hook
-        pop_time = heapq.heappop
         nmax = -1 if max_events is None else max_events
         processed = 0
         depth_sum = 0
@@ -328,8 +275,6 @@ class Simulator:
                     i += 1
                     cal.size = size = cal.size - 1
                     depth_sum += size
-                    if hook is not None:
-                        hook(t, fn)
                     fn()
                     processed += 1
                     if probes:
@@ -351,7 +296,7 @@ class Simulator:
                     break
                 # batched advance: retire the bucket and jump straight to
                 # the next armed cycle — empty cycles cost nothing.
-                pop_time(times)
+                heappop(times)
                 del buckets[t]
                 if len(pool) < cal.pool_cap:
                     bucket.clear()
@@ -365,7 +310,7 @@ class Simulator:
             # the next run() call.
             if bucket is not None and i:
                 if i == len(bucket):
-                    pop_time(times)
+                    heappop(times)
                     del buckets[self.now]
                     if len(pool) < cal.pool_cap:
                         bucket.clear()
@@ -379,185 +324,79 @@ class Simulator:
             self._events_processed += processed
         return processed
 
-    def _run_reference(
+    def _run_general(
         self,
         until: Optional[int],
         max_events: Optional[int],
         stop_when: Optional[Callable[[], bool]],
     ) -> int:
-        """The :meth:`run` loop over the :class:`ReferenceScheduler` heap
-        (tiebreak runs and the differential oracle).  Semantically the
-        original pre-calendar loop."""
-        heap = self._ref.heap
-        hook = self.event_hook
+        """The :meth:`run` loop for perturbed runs and host profiling.
+
+        Same stop semantics, clock updates and probe ordering as the fast
+        loop, but each event leaves the store through
+        :meth:`CalendarQueue.pop` *before* it is dispatched, so the store
+        is consistent even if the handler raises.  With a host profiler
+        attached, every nanosecond between loop entry and loop exit is
+        charged to exactly one bucket: the event handler's subsystem,
+        ``obs`` for invariant probes, or ``engine`` for the loop itself
+        (queue ops, bound checks), so the attribution sums to the total
+        by construction.  Without one, no host clock is read.
+        """
+        cal = self._cal
+        times = cal.times
+        pop = cal.pop
+        probes = self._probes
+        host = self._host
+        clock = host.clock if host is not None else None
+        nmax = -1 if max_events is None else max_events
         processed = 0
+        depth_sum = 0
         self._running = True
+        t_mark = clock() if host is not None else 0
         try:
-            while heap:
+            while times:
                 if self._stop or (stop_when is not None and stop_when()):
                     self._stop = False
                     break
-                if max_events is not None and processed >= max_events:
+                if processed == nmax:
                     break
-                time = heap[0][0]
-                if until is not None and time > until:
+                if until is not None and times[0] > until:
                     self.now = until
                     break
-                time, _key, _seq, fn = heapq.heappop(heap)
-                self._queue_depth_sum += len(heap)
-                self.now = time
-                if hook is not None:
-                    hook(time, fn)
-                fn()
-                processed += 1
-                if self._probes:
-                    for probe in self._probes:
-                        probe()
-        finally:
-            self._running = False
-            self._events_processed += processed
-        return processed
-
-    def _run_profiled(
-        self,
-        until: Optional[int],
-        max_events: Optional[int],
-        stop_when: Optional[Callable[[], bool]],
-    ) -> int:
-        """The :meth:`run` loop with host-time attribution.
-
-        Identical event semantics to the plain loops (same dispatch
-        order, same clock updates, same probe ordering) — only host-clock
-        reads are interleaved.  Every nanosecond between loop entry and
-        loop exit is charged to exactly one bucket: the event handler's
-        subsystem, ``obs`` for invariant probes, or ``engine`` for the
-        loop itself (queue ops, bound checks), so the attribution sums to
-        the total by construction.
-        """
-        host = self._host
-        clock = host.clock
-        hook = self.event_hook
-        processed = 0
-        self._running = True
-        t_mark = clock()
-        try:
-            if self._ref is not None:
-                heap = self._ref.heap
-                while heap:
-                    if self._stop or (stop_when is not None and stop_when()):
-                        self._stop = False
-                        break
-                    if max_events is not None and processed >= max_events:
-                        break
-                    time = heap[0][0]
-                    if until is not None and time > until:
-                        self.now = until
-                        break
-                    time, _key, _seq, fn = heapq.heappop(heap)
-                    self._queue_depth_sum += len(heap)
-                    self.now = time
-                    if hook is not None:
-                        hook(time, fn)
-                    t0 = clock()
+                self.now, fn = pop()
+                depth_sum += cal.size
+                if host is None:
                     fn()
-                    t1 = clock()
                     processed += 1
-                    if self._probes:
-                        for probe in self._probes:
+                    if probes:
+                        for probe in probes:
                             probe()
-                        t2 = clock()
-                        host.charge("obs", t2 - t1)
-                    else:
-                        t2 = t1
-                    host.charge("engine", t0 - t_mark)
-                    host.charge_event(fn, t1 - t0)
-                    t_mark = t2
-            else:
-                cal = self._cal
-                buckets = cal.buckets
-                times = cal.times
-                pool = cal.pool
-                bucket: Optional[List] = None
-                i = 0
-                try:
-                    while times:
-                        if self._stop or (
-                            stop_when is not None and stop_when()
-                        ):
-                            self._stop = False
-                            break
-                        if max_events is not None and processed >= max_events:
-                            break
-                        t = times[0]
-                        if until is not None and t > until:
-                            self.now = until
-                            break
-                        bucket = buckets[t]
-                        self.now = t
-                        i = 0
-                        broke = False
-                        while True:
-                            fn = bucket[i]
-                            i += 1
-                            cal.size = size = cal.size - 1
-                            self._queue_depth_sum += size
-                            if hook is not None:
-                                hook(t, fn)
-                            t0 = clock()
-                            fn()
-                            t1 = clock()
-                            processed += 1
-                            if self._probes:
-                                for probe in self._probes:
-                                    probe()
-                                t2 = clock()
-                                host.charge("obs", t2 - t1)
-                            else:
-                                t2 = t1
-                            host.charge("engine", t0 - t_mark)
-                            host.charge_event(fn, t1 - t0)
-                            t_mark = t2
-                            if i == len(bucket):
-                                break
-                            if self._stop or (
-                                stop_when is not None and stop_when()
-                            ):
-                                self._stop = False
-                                del bucket[:i]
-                                broke = True
-                                break
-                            if max_events is not None and processed >= max_events:
-                                del bucket[:i]
-                                broke = True
-                                break
-                        if broke:
-                            break
-                        heapq.heappop(times)
-                        del buckets[t]
-                        if len(pool) < cal.pool_cap:
-                            bucket.clear()
-                            pool.append(bucket)
-                        bucket = None
-                except BaseException:
-                    if bucket is not None and i:
-                        if i == len(bucket):
-                            heapq.heappop(times)
-                            del buckets[self.now]
-                            if len(pool) < cal.pool_cap:
-                                bucket.clear()
-                                pool.append(bucket)
-                        else:
-                            del bucket[:i]
-                    raise
+                    continue
+                t0 = clock()
+                fn()
+                t1 = clock()
+                processed += 1
+                if probes:
+                    for probe in probes:
+                        probe()
+                    t2 = clock()
+                    host.charge("obs", t2 - t1)
+                else:
+                    t2 = t1
+                host.charge("engine", t0 - t_mark)
+                host.charge_event(fn, t1 - t0)
+                t_mark = t2
         finally:
             self._running = False
-            host.charge("engine", clock() - t_mark)
+            if host is not None:
+                host.charge("engine", clock() - t_mark)
+            self._queue_depth_sum += depth_sum
             self._events_processed += processed
         return processed
 
     @property
     def pending_events(self) -> int:
-        return len(self._ref) if self._ref is not None else self._cal.size
+        return self._cal.size
 
     @property
     def events_processed(self) -> int:
@@ -605,16 +444,16 @@ class Simulator:
     # host-time attribution
 
     def attach_host_profiler(self, host: Any) -> None:
-        """Route :meth:`run` through the instrumented dispatch loop,
-        charging host nanoseconds to ``host`` (a
+        """Route :meth:`run` through the general dispatch loop, charging
+        host nanoseconds to ``host`` (a
         :class:`repro.obs.host.HostProfiler`).  With no profiler attached
-        the plain loop runs and the hot path pays nothing."""
+        no host clock is read and the hot path pays nothing."""
         if self._host is not None and self._host is not host:
             raise SimulationError("a host profiler is already attached")
         self._host = host
 
     def detach_host_profiler(self) -> None:
-        """Return :meth:`run` to the uninstrumented loop.  Idempotent."""
+        """Stop charging host time to the profiler.  Idempotent."""
         self._host = None
 
     # ------------------------------------------------------------------ #
